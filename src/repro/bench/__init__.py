@@ -9,6 +9,11 @@ a machine-readable report (``BENCH_timing.json``):
 * ``groute`` — whole-design single-pass L-pattern routing (the
   congestion probe): per-edge python vs the batched ``(n_edges, 2)``
   scorer (``repro.groute.flat_route``); routes asserted bitwise equal.
+* ``groute_full`` — one production :class:`~repro.groute.router.GlobalRouter`
+  ``route()`` per design (the router the hybrid validator and the flow
+  call): absolute ms, ``maze_routed``, and a route digest that must
+  equal the one committed in ``BENCH_timing.json`` (the kernel raises
+  on a mismatch, so a faster router cannot change a single route).
 * ``full_sta`` — one sign-off STA pass over a whole design: the
   reference per-net Python engine vs the flat CSR/batched-Elmore
   kernel (``STAEngine.run(kernel=...)``).
@@ -36,10 +41,13 @@ a machine-readable report (``BENCH_timing.json``):
   :class:`~repro.eco.driver.EcoContext` vs a cold context rebuilt per
   candidate, per-candidate WNS/TNS verdicts asserted bitwise equal.
 
-Every kernel records a *speedup* ratio comparing the fast kernel
-against the reference kernel **on the same workload** — never
-warm-vs-cold of one kernel — so the committed baseline stays
-meaningful across machines.  ``compare_reports`` flags any kernel whose
+Every kernel but ``groute_full`` records a *speedup* ratio comparing
+the fast kernel against the reference kernel **on the same workload**
+— never warm-vs-cold of one kernel — so the committed baseline stays
+meaningful across machines.  ``groute_full`` times the production path
+alone (its reference lives in the tests as a parity oracle), so it
+reports absolute milliseconds, tracked by the history rather than
+gated.  ``compare_reports`` flags any kernel whose
 speedup regressed by more than ``tolerance`` (default 25%) — the
 ``bench-smoke`` pytest marker runs exactly that check against the
 committed baseline.
@@ -227,6 +235,79 @@ def bench_groute(netlist, forest, repeats: int = 3) -> Dict[str, float]:
         "speedup": ref_s / flat_s,
         "routes_bitwise_equal": 1.0,
         "overflow": float(ref.overflow),
+    }
+
+
+#: The committed baseline whose ``groute_full`` digests pin the routes.
+COMMITTED_BASELINE = Path(__file__).resolve().parents[3] / "BENCH_timing.json"
+
+
+def route_digest(result, grid) -> str:
+    """Fingerprint of a global route: every segment field, the grid's
+    usage and history fields and the summary numbers, bit for bit."""
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=8)
+    for seg in result.segments.values():
+        h.update(
+            np.asarray(
+                [*seg.key, seg.net_index, seg.bends, seg.h_layer, seg.v_layer, seg.vias],
+                dtype=np.int64,
+            ).tobytes()
+        )
+        h.update(np.asarray([seg.h_length, seg.v_length], dtype=np.float64).tobytes())
+        h.update(np.asarray(seg.path, dtype=np.int64).tobytes())
+    for name in ("use_h", "use_v", "hist_h", "hist_v"):
+        h.update(np.ascontiguousarray(getattr(grid, name), dtype=np.float64).tobytes())
+    h.update(
+        np.asarray(
+            [result.overflow, result.max_utilization, result.total_wirelength],
+            dtype=np.float64,
+        ).tobytes()
+    )
+    h.update(np.asarray([result.maze_routed, result.timed_out], dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _committed_route_digest(design: str) -> Optional[str]:
+    if not COMMITTED_BASELINE.exists():
+        return None
+    rows = load_report(COMMITTED_BASELINE).get("kernels", {}).get("groute_full", {})
+    return rows.get(design, {}).get("route_digest")
+
+
+def bench_groute_full(netlist, forest, repeats: int = 3) -> Dict[str, object]:
+    """One production global route: absolute ms, maze count, digest.
+
+    Each repeat routes ``forest`` on a fresh grid at the default
+    :class:`~repro.groute.router.RouterConfig`, exactly as the hybrid
+    validator and the flow do.  The route digest is compared with the
+    one committed for this design in ``BENCH_timing.json``; a mismatch
+    raises, because a router change that moves any route is a behaviour
+    change, not a speedup.  ``digest_checked`` is 0 for designs with no
+    committed digest yet.
+    """
+    from repro.groute.router import GlobalRouter
+    from repro.routegrid.grid import GCellGrid
+
+    def run():
+        grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+        return GlobalRouter(grid).route(forest), grid
+
+    result, grid = run()
+    digest = route_digest(result, grid)
+    expected = _committed_route_digest(netlist.name)
+    if expected is not None and digest != expected:
+        raise RuntimeError(
+            f"global route of {netlist.name} changed: digest {digest}, "
+            f"committed {expected} ({COMMITTED_BASELINE.name})"
+        )
+    route_s = _best(run, repeats)
+    return {
+        "route_ms": route_s * 1e3,
+        "maze_routed": float(result.maze_routed),
+        "route_digest": digest,
+        "digest_checked": float(expected is not None),
     }
 
 
@@ -731,6 +812,7 @@ def bench_eco_loop(
 ALL_KERNELS: Tuple[str, ...] = (
     "forest_build",
     "groute",
+    "groute_full",
     "full_sta",
     "mcmm_sta",
     "incremental",
@@ -811,6 +893,17 @@ def run_benchmarks(
                 f"[bench] {name} groute: reference {r['reference_ms']:.2f} ms, "
                 f"flat {r['flat_ms']:.2f} ms  ({r['speedup']:.1f}x; "
                 f"bitwise parity {r['routes_bitwise_equal']:.0f})"
+            )
+        if "groute_full" in wanted:
+            with tel.span("bench.groute_full", design=name) as sp:
+                r = bench_groute_full(netlist, forest, repeats=repeats)
+                sp.annotate(route_ms=r["route_ms"], maze_routed=r["maze_routed"])
+            report["kernels"]["groute_full"][name] = r
+            checked = "checked" if r["digest_checked"] else "no committed digest"
+            log(
+                f"[bench] {name} groute_full: route {r['route_ms']:.1f} ms, "
+                f"{int(r['maze_routed'])} maze routes, digest "
+                f"{r['route_digest']} ({checked})"
             )
         if "full_sta" in wanted:
             with tel.span("bench.full_sta", design=name) as sp:
@@ -924,6 +1017,11 @@ def run_benchmarks(
             )
     return report
 
+
+#: Absolute-time fields (lower is better) tracked by the bench history.
+_TIMING_FIELDS = {
+    "groute_full": ("route_ms",),
+}
 
 #: Per-kernel speedup fields checked by :func:`compare_reports`.
 _SPEEDUP_FIELDS = {

@@ -13,7 +13,12 @@ single noisy sample to flap than the point-in-time gate.
 Row format (one JSON object per line)::
 
     {"schema": 1, "t": <unix seconds>, "quick": bool, "label": str|null,
-     "speedups": {"<kernel>/<design>/<field>": float, ...}}
+     "speedups": {"<kernel>/<design>/<field>": float, ...},
+     "timings": {"<kernel>/<design>/<field>": float, ...}}
+
+``timings`` holds the absolute production-path times (milliseconds,
+lower is better; today ``groute_full/<design>/route_ms``).  Rows
+written before it existed simply lack the key.
 
 The flat ``kernel/design/field`` keys mirror the problem strings of
 :func:`repro.bench.compare_reports`, so a trend line and a gate failure
@@ -40,21 +45,25 @@ def summary_row(
     label: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Compress one bench report into a history row."""
-    from repro.bench import _SPEEDUP_FIELDS
+    from repro.bench import _SPEEDUP_FIELDS, _TIMING_FIELDS
 
-    speedups: Dict[str, float] = {}
-    for kernel, fields in _SPEEDUP_FIELDS.items():
-        for design, row in (report.get("kernels", {}).get(kernel) or {}).items():
-            for field in fields:
-                if field in row:
-                    speedups[f"{kernel}/{design}/{field}"] = float(row[field])
+    def flatten(kernel_fields) -> Dict[str, float]:
+        out: Dict[str, float] = {}
+        for kernel, fields in kernel_fields.items():
+            for design, row in (report.get("kernels", {}).get(kernel) or {}).items():
+                for field in fields:
+                    if field in row:
+                        out[f"{kernel}/{design}/{field}"] = float(row[field])
+        return out
+
     return {
         "schema": HISTORY_SCHEMA,
         "t": float(timestamp if timestamp is not None else time.time()),
         "quick": bool(report.get("quick", False)),
         "report_version": report.get("version"),
         "label": label,
-        "speedups": speedups,
+        "speedups": flatten(_SPEEDUP_FIELDS),
+        "timings": flatten(_TIMING_FIELDS),
     }
 
 
@@ -114,32 +123,40 @@ def _median(values: Sequence[float]) -> float:
 def summarize_trends(
     rows: Sequence[Dict[str, Any]],
     tolerance: float = DEFAULT_TOLERANCE,
+    section: str = "speedups",
 ) -> Dict[str, Dict[str, Any]]:
     """Per-metric trajectory stats keyed by ``kernel/design/field``.
 
     ``regressed`` is set when the latest value fell below
     ``(1 - tolerance) * median`` of the whole trajectory — the same
     shape of check as :func:`repro.bench.compare_reports`, but against
-    the history median instead of one committed baseline.
+    the history median instead of one committed baseline.  For the
+    ``"timings"`` section (lower is better) it is set when the latest
+    value rose above ``(1 + tolerance) * median``.
     """
     series: Dict[str, List[float]] = {}
     for row in rows:
-        for key, value in (row.get("speedups") or {}).items():
+        for key, value in (row.get(section) or {}).items():
             series.setdefault(key, []).append(float(value))
     trends: Dict[str, Dict[str, Any]] = {}
     for key in sorted(series):
         values = series[key]
         median = _median(values)
         latest = values[-1]
+        if section == "timings":
+            best, worst = min(values), max(values)
+            worse = latest > (1.0 + tolerance) * median
+        else:
+            best, worst = max(values), min(values)
+            worse = latest < (1.0 - tolerance) * median
         trends[key] = {
             "values": values,
             "runs": len(values),
             "median": median,
             "latest": latest,
-            "best": max(values),
-            "worst": min(values),
-            "regressed": len(values) >= 2
-            and latest < (1.0 - tolerance) * median,
+            "best": best,
+            "worst": worst,
+            "regressed": len(values) >= 2 and worse,
         }
     return trends
 
@@ -167,7 +184,8 @@ def render_trends(
     if not rows:
         return lines[0] + "\n"
     trends = summarize_trends(rows, tolerance=tolerance)
-    width = max((len(k) for k in trends), default=0)
+    timings = summarize_trends(rows, tolerance=tolerance, section="timings")
+    width = max((len(k) for k in (*trends, *timings)), default=0)
     regressed: List[str] = []
     for key, t in trends.items():
         flag = "  REGRESSED" if t["regressed"] else ""
@@ -186,6 +204,23 @@ def render_trends(
         )
     else:
         lines.append("  no metric below trajectory median tolerance")
+    if timings:
+        lines.append("Absolute times (ms, lower is better)")
+        slower: List[str] = []
+        for key, t in timings.items():
+            flag = "  SLOWER" if t["regressed"] else ""
+            lines.append(
+                f"  {key.ljust(width)}  {_sparkline(t['values'])}  "
+                f"latest {t['latest']:.1f}  median {t['median']:.1f}  "
+                f"range [{t['best']:.1f}, {t['worst']:.1f}]{flag}"
+            )
+            if t["regressed"]:
+                slower.append(key)
+        if slower:
+            lines.append(
+                f"  {len(slower)} time(s) above {1.0 + tolerance:.0%} of "
+                "trajectory median: " + ", ".join(slower)
+            )
     return "\n".join(lines) + "\n"
 
 

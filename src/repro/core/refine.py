@@ -144,13 +144,22 @@ class RefinementConfig:
 
 @dataclass
 class RefinementResult:
-    """Outcome of one refinement run."""
+    """Outcome of one refinement run.
+
+    ``init_*``/``best_*`` are **evaluator-predicted**.  In hybrid mode
+    the ``signoff_*`` fields carry the sign-off oracle's (router + STA)
+    verdicts: ``signoff_init_*`` at the initial coordinates and
+    ``signoff_wns``/``signoff_tns`` at the validated anchor returned as
+    ``coords``.  Each stays ``None`` when no probe describes it: outside
+    hybrid mode, and for the final values once the validator degraded
+    (the run then returns evaluator-accepted coordinates).
+    """
 
     coords: np.ndarray  # best flat Steiner coordinates
-    init_wns: float
-    init_tns: float
-    best_wns: float
-    best_tns: float
+    init_wns: float  # predicted
+    init_tns: float  # predicted
+    best_wns: float  # predicted
+    best_tns: float  # predicted
     iterations: int
     theta: float
     accepted: int
@@ -161,6 +170,10 @@ class RefinementResult:
     degraded: bool = False  # validator failed; evaluator-only acceptance
     skipped_steps: int = 0  # steps dropped by the non-finite guard
     resumed: bool = False  # run continued from a checkpoint
+    signoff_init_wns: Optional[float] = None
+    signoff_init_tns: Optional[float] = None
+    signoff_wns: Optional[float] = None
+    signoff_tns: Optional[float] = None
 
     @property
     def wns_improvement(self) -> float:
@@ -528,6 +541,7 @@ def refine(
     validated_reverts = 0
     pending_accepts = 0
     real_wns = real_tns = None
+    signoff_init: Optional[Tuple[float, float]] = None  # first anchor probe
     real_coords = coords.copy()
     prop_idx = 0
     schedule: Sequence[Tuple[float, float]] = cfg.proposal_schedule or ((cfg.move_fraction, 1.0),)
@@ -549,6 +563,11 @@ def refine(
         if bool(ckpt["has_real"]):
             real_wns = float(ckpt["real_wns"])
             real_tns = float(ckpt["real_tns"])
+        if bool(ckpt.get("has_signoff_init", False)):
+            signoff_init = (
+                float(ckpt["signoff_init_wns"]),
+                float(ckpt["signoff_init_tns"]),
+            )
         pcfg = PenaltyConfig(
             lambda_wns=float(ckpt["lambda_wns"]),
             lambda_tns=float(ckpt["lambda_tns"]),
@@ -571,6 +590,7 @@ def refine(
         validations += 1
         if anchor is not None:
             real_wns, real_tns = anchor
+            signoff_init = anchor
 
     if tel.enabled:
         tel.event(
@@ -612,6 +632,9 @@ def refine(
             "has_real": real_wns is not None,
             "real_wns": float("nan") if real_wns is None else real_wns,
             "real_tns": float("nan") if real_tns is None else real_tns,
+            "has_signoff_init": signoff_init is not None,
+            "signoff_init_wns": float("nan") if signoff_init is None else signoff_init[0],
+            "signoff_init_tns": float("nan") if signoff_init is None else signoff_init[1],
         }
         if isinstance(so, AccumulatingSO) and so._m is not None:
             arrays["so_m"] = so._m
@@ -811,6 +834,15 @@ def refine(
             # evaluator's accepted trajectory; round them so the
             # hybrid-mode contract (routable snapped geometry) holds.
             best_coords = SteinerForest.round_array(best_coords)
+    # Final sign-off values describe the returned coords only while the
+    # validator is live: a degraded run returns evaluator coordinates.
+    live = use_validator and real_wns is not None
+    signoff = dict(
+        signoff_init_wns=signoff_init[0] if signoff_init else None,
+        signoff_init_tns=signoff_init[1] if signoff_init else None,
+        signoff_wns=real_wns if live else None,
+        signoff_tns=real_tns if live else None,
+    )
 
     if tel.enabled:
         tel.event(
@@ -819,6 +851,7 @@ def refine(
             init_tns=init_tns,
             best_wns=best_wns,
             best_tns=best_tns,
+            **signoff,
             iterations=t,
             accepted=accepted,
             validations=validations,
@@ -845,6 +878,7 @@ def refine(
         degraded=degraded,
         skipped_steps=skipped_steps,
         resumed=ckpt is not None,
+        **signoff,
     )
 
 

@@ -103,8 +103,10 @@ class TSteiner:
             sp.annotate(
                 iterations=result.iterations,
                 accepted=result.accepted,
-                best_wns=result.best_wns,
-                best_tns=result.best_tns,
+                predicted_wns=result.best_wns,
+                predicted_tns=result.best_tns,
+                signoff_wns=result.signoff_wns,
+                signoff_tns=result.signoff_tns,
             )
         import numpy as np
 
@@ -122,12 +124,14 @@ class TSteiner:
 
     @staticmethod
     def _make_validator(netlist: Netlist, forest: SteinerForest, scenarios=None):
-        """Fast sign-off-lite probe: pattern route + STA at candidate coords.
+        """Sign-off probe: full global route + STA at candidate coords.
 
         Used by the hybrid acceptance mode to anchor the evaluator's
-        accepted trajectory to real timing.  The probe shares the
-        production flow's physics (layer assignment, coupling-aware
-        STA) but skips rip-up rounds for speed.
+        accepted trajectory to real timing.  The probe runs the
+        production negotiated router (pattern, maze and rip-up rounds)
+        at the default :class:`~repro.groute.router.RouterConfig`, then
+        the production layer assignment and coupling-aware STA, so a
+        probe's verdict is the production routing pass's verdict.
 
         One probe forest and one incremental STA query object are
         hoisted out of the closure: successive probes in a refinement

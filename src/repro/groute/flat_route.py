@@ -132,8 +132,10 @@ def _geometry_of(forest: SteinerForest) -> _EdgeGeometry:
 def cost_fields(
     grid: GCellGrid, overflow_penalty: float = 8.0
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-edge congestion cost fields, elementwise bitwise-equal to
-    :meth:`GCellGrid.edge_cost` over the whole grid."""
+    """Per-edge congestion cost fields: :meth:`GCellGrid.edge_cost` over
+    the whole grid.  The array ``** 2`` multiplies where ``edge_cost``
+    calls ``pow``, so an over-capacity entry can differ in the last bit
+    (e.g. zero capacity, usage 5)."""
 
     def field(cap: np.ndarray, use: np.ndarray, hist: np.ndarray) -> np.ndarray:
         util = (use + 1.0) / np.maximum(cap, 1e-9)

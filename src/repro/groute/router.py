@@ -14,6 +14,13 @@ GCell grid:
 The router is deterministic: identical forests produce identical
 routes, which the accept/revert loop of TSteiner depends on (noise in
 the oracle would defeat the gradient signal).
+
+Pattern costing and the maze read one flat per-edge cost field
+(:class:`_CostFields`) at the configured overflow penalty.  ``route()``
+builds it from the grid, rebuilds it after every history bump and
+refreshes only the touched edges on each commit and rip-up, so every
+read is bitwise what ``GCellGrid.edge_cost`` returns for the live usage
+(docs/PERFORMANCE.md, "Global router").
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.groute.flat_route import _geometry_of
 from repro.routegrid.grid import GCellGrid
 from repro.steiner.forest import SteinerForest
 
@@ -76,12 +84,104 @@ class GlobalRouteResult:
         return self.segments[key]
 
 
+def _adjacency(nx: int, ny: int, n_h: int, sv: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Per-node ``(neighbour id, edge id)`` pairs in maze expansion order
+    (+x, -x, +y, -y); ids as in :class:`_CostFields`."""
+    adj = []
+    for x in range(nx):
+        for y in range(ny):
+            n = x * ny + y
+            out = []
+            if x + 1 < nx:
+                out.append((n + ny, n))
+            if x - 1 >= 0:
+                out.append((n - ny, n - ny))
+            if y + 1 < ny:
+                out.append((n + 1, n_h + x * sv + y))
+            if y - 1 >= 0:
+                out.append((n - 1, n_h + x * sv + y - 1))
+            adj.append(tuple(out))
+    return tuple(adj)
+
+
+def _edge_cost(cap: float, use: float, hist: float, penalty: float) -> float:
+    """:meth:`GCellGrid.edge_cost` on python floats: the same operations
+    in the same order, and the same libm ``pow`` for the square (numpy's
+    array ``** 2`` multiplies instead, which differs in the last bit for
+    some inputs, so :func:`~repro.groute.flat_route.cost_fields` is not
+    used here)."""
+    util = (use + 1.0) / max(cap, 1e-9)
+    cost = 1.0 + hist
+    if util > 1.0:
+        cost += penalty * (util - 1.0) ** 2
+    elif util > 0.7:
+        cost += (util - 0.7) * 2.0
+    return cost
+
+
+class _CostFields:
+    """Congestion cost of every GCell edge, kept in step with the usage.
+
+    Node ids are ``x * ny + y``: x-major, so ``(dist, id)`` heap keys
+    order exactly like ``(dist, (x, y))``.  Horizontal edge ``(i, j)``
+    has id ``i * ny + j``; vertical edge ``(i, j)`` has id
+    ``n_h + i * sv + j`` with ``sv`` the row stride of ``cap_v``.
+
+    ``cost[e]`` is bitwise ``grid.edge_cost(..., penalty)``: every
+    entry comes from :func:`_edge_cost`, and :meth:`add` recomputes only
+    the touched edge.  ``add`` also writes the usage through to the
+    grid, which stays authoritative.
+    """
+
+    def __init__(self, grid: GCellGrid, penalty: float) -> None:
+        self.grid = grid
+        self.penalty = penalty
+        self.ny = grid.ny
+        self.sv = grid.cap_v.shape[1]
+        self.n_h = grid.cap_h.size
+        self.use = grid.use_h.ravel().tolist() + grid.use_v.ravel().tolist()
+        self.cap = grid.cap_h.ravel().tolist() + grid.cap_v.ravel().tolist()
+        self.hist = grid.hist_h.ravel().tolist() + grid.hist_v.ravel().tolist()
+        self.cost = [
+            _edge_cost(c, u, h, penalty) for c, u, h in zip(self.cap, self.use, self.hist)
+        ]
+        self.adj = _adjacency(grid.nx, grid.ny, self.n_h, self.sv)
+
+    def edge_ids(self, path: Sequence[GridPoint]) -> List[int]:
+        """Ids of the GCell edges a grid path crosses, in path order."""
+        ny, sv, n_h = self.ny, self.sv, self.n_h
+        return [
+            (x1 if x1 < x2 else x2) * ny + y1
+            if y1 == y2
+            else n_h + x1 * sv + (y1 if y1 < y2 else y2)
+            for (x1, y1), (x2, y2) in zip(path, path[1:])
+        ]
+
+    def add(self, e: int, amount: float) -> None:
+        """Add ``amount`` of usage on edge ``e`` and refresh its cost."""
+        use = self.use[e] + amount
+        self.use[e] = use
+        if e < self.n_h:
+            self.grid.use_h[divmod(e, self.ny)] = use
+        else:
+            self.grid.use_v[divmod(e - self.n_h, self.sv)] = use
+        self.cost[e] = _edge_cost(self.cap[e], use, self.hist[e], self.penalty)
+
+
 class GlobalRouter:
     """Routes a Steiner forest onto a GCell grid."""
 
     def __init__(self, grid: GCellGrid, config: Optional[RouterConfig] = None) -> None:
         self.grid = grid
         self.config = config or RouterConfig()
+        # Live only inside route(); standalone _maze/_best_pattern calls
+        # build a fresh field from the grid.
+        self._fields: Optional[_CostFields] = None
+
+    def _live_fields(self) -> _CostFields:
+        if self._fields is not None:
+            return self._fields
+        return _CostFields(self.grid, self.config.overflow_penalty)
 
     # ------------------------------------------------------------------
     def route(self, forest: SteinerForest, budget=None) -> GlobalRouteResult:
@@ -94,16 +194,31 @@ class GlobalRouter:
         if congestion-degraded — routing flagged ``timed_out=True``.
         """
         self.grid.reset_usage()
+        self._fields = _CostFields(self.grid, self.config.overflow_penalty)
+        try:
+            return self._route(forest, budget)
+        finally:
+            self._fields = None
+
+    def _route(self, forest: SteinerForest, budget) -> GlobalRouteResult:
         timed_out = False
-        jobs: List[Tuple[SegmentKey, int, GridPoint, GridPoint, float, float]] = []
-        for t_idx, tree in enumerate(forest.trees):
-            xy = tree.node_xy()
-            for e_idx, (u, v) in enumerate(tree.edges):
-                p1 = self.grid.locate(xy[u][0], xy[u][1])
-                p2 = self.grid.locate(xy[v][0], xy[v][1])
-                dx = abs(float(xy[u][0] - xy[v][0]))
-                dy = abs(float(xy[u][1] - xy[v][1]))
-                jobs.append(((t_idx, e_idx), tree.net_index, p1, p2, dx, dy))
+        # Endpoint GCells and direct deltas of every tree edge in tree
+        # then edge order, located with GCellGrid.locate's arithmetic.
+        geom = _geometry_of(forest)
+        xy = geom.gather_coords(forest)
+        grid = self.grid
+        gx = np.clip(xy[:, 0] / grid.gcell, 0, grid.nx - 1).astype(np.int64).tolist()
+        gy = np.clip(xy[:, 1] / grid.gcell, 0, grid.ny - 1).astype(np.int64).tolist()
+        xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
+        edges = [
+            ((t_idx, e_idx), tree.net_index)
+            for t_idx, tree in enumerate(forest.trees)
+            for e_idx in range(len(tree.edges))
+        ]
+        jobs: List[Tuple[SegmentKey, int, GridPoint, GridPoint, float, float]] = [
+            (key, net_index, (gx[u], gy[u]), (gx[v], gy[v]), abs(xs[u] - xs[v]), abs(ys[u] - ys[v]))
+            for (key, net_index), u, v in zip(edges, geom.eu.tolist(), geom.ev.tolist())
+        ]
 
         # Long segments first: they need contiguous corridors, short
         # ones fit in the gaps (standard global-routing ordering).
@@ -135,6 +250,7 @@ class GlobalRouter:
                 timed_out = True
                 break
             self.grid.bump_history(self.config.history_increment)
+            self._fields = _CostFields(self.grid, self.config.overflow_penalty)
             victims = [k for k, s in segments.items() if self._crosses_overflow(s.path)]
             for key in victims:
                 seg = segments[key]
@@ -199,14 +315,14 @@ class GlobalRouter:
         if x2 - x1 < 2:
             return []
         k = min(self.config.zshape_candidates, x2 - x1 - 1)
-        return list(np.linspace(x1 + 1, x2 - 1, k).astype(int))
+        return np.linspace(x1 + 1, x2 - 1, k).astype(int).tolist()
 
     @staticmethod
     def _straight(p1: GridPoint, p2: GridPoint) -> List[GridPoint]:
         pts = [p1]
         x, y = p1
-        sx = int(np.sign(p2[0] - x))
-        sy = int(np.sign(p2[1] - y))
+        sx = (p2[0] > x) - (p2[0] < x)
+        sy = (p2[1] > y) - (p2[1] < y)
         while (x, y) != p2:
             x += sx
             y += sy
@@ -227,76 +343,67 @@ class GlobalRouter:
         return part1 + part2[1:] + part3[1:]
 
     def _path_cost(self, path: List[GridPoint]) -> float:
+        fields = self._live_fields()
+        field_cost = fields.cost
         cost = 0.0
-        for (x1, y1), (x2, y2) in zip(path, path[1:]):
-            if y1 == y2:
-                cost += self.grid.edge_cost("H", min(x1, x2), y1, self.config.overflow_penalty)
-            else:
-                cost += self.grid.edge_cost("V", x1, min(y1, y2), self.config.overflow_penalty)
+        for e in fields.edge_ids(path):
+            cost += field_cost[e]
         return cost
 
     def _maze(self, p1: GridPoint, p2: GridPoint) -> List[GridPoint]:
-        """Dijkstra on the GCell graph with congestion costs."""
-        grid = self.grid
-        dist: Dict[GridPoint, float] = {p1: 0.0}
-        prev: Dict[GridPoint, GridPoint] = {}
-        heap: List[Tuple[float, GridPoint]] = [(0.0, p1)]
-        visited = set()
+        """Dijkstra on the GCell graph with congestion costs.
+
+        Flat node ids with list-backed ``dist``/``prev`` and heap keys
+        ``(dist, id)``: the id order is the ``(x, y)`` tuple order, so
+        pops, tie-breaks and paths are those of a tuple-keyed search.
+        """
+        fields = self._live_fields()
+        cost, adj, ny = fields.cost, fields.adj, fields.ny
+        src = p1[0] * ny + p1[1]
+        dst = p2[0] * ny + p2[1]
+        n = len(adj)
+        dist = [float("inf")] * n
+        dist[src] = 0.0
+        prev = [-1] * n
+        visited = bytearray(n)
+        heap: List[Tuple[float, int]] = [(0.0, src)]
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            d, node = heapq.heappop(heap)
-            if node in visited:
+            d, node = pop(heap)
+            if visited[node]:
                 continue
-            if node == p2:
+            if node == dst:
                 break
-            visited.add(node)
-            x, y = node
-            neighbours = []
-            if x + 1 < grid.nx:
-                neighbours.append(((x + 1, y), grid.edge_cost("H", x, y)))
-            if x - 1 >= 0:
-                neighbours.append(((x - 1, y), grid.edge_cost("H", x - 1, y)))
-            if y + 1 < grid.ny:
-                neighbours.append(((x, y + 1), grid.edge_cost("V", x, y)))
-            if y - 1 >= 0:
-                neighbours.append(((x, y - 1), grid.edge_cost("V", x, y - 1)))
-            for nxt, cost in neighbours:
-                nd = d + cost
-                if nd < dist.get(nxt, np.inf):
+            visited[node] = 1
+            for nxt, e in adj[node]:
+                nd = d + cost[e]
+                if nd < dist[nxt]:
                     dist[nxt] = nd
                     prev[nxt] = node
-                    heapq.heappush(heap, (nd, nxt))
-        if p2 not in prev and p1 != p2:
+                    push(heap, (nd, nxt))
+        if prev[dst] < 0 and src != dst:
             # Unreachable should not happen on a full grid; fall back.
             return self._l_shape(p1, p2, corner=(p2[0], p1[1])) if p1[0] != p2[0] and p1[1] != p2[1] else self._straight(p1, p2)
-        path = [p2]
-        while path[-1] != p1:
-            path.append(prev[path[-1]])
-        return list(reversed(path))
+        ids = [dst]
+        while ids[-1] != src:
+            ids.append(prev[ids[-1]])
+        return [divmod(node, ny) for node in reversed(ids)]
 
     # ------------------------------------------------------------------
     # Usage bookkeeping
     # ------------------------------------------------------------------
     def _commit(self, path: List[GridPoint], amount: float = 1.0) -> None:
-        for (x1, y1), (x2, y2) in zip(path, path[1:]):
-            if y1 == y2:
-                self.grid.add_usage("H", min(x1, x2), y1, amount)
-            else:
-                self.grid.add_usage("V", x1, min(y1, y2), amount)
+        fields = self._fields
+        for e in fields.edge_ids(path):
+            fields.add(e, amount)
 
     def _uncommit(self, path: List[GridPoint]) -> None:
         self._commit(path, amount=-1.0)
 
     def _crosses_overflow(self, path: List[GridPoint]) -> bool:
-        for (x1, y1), (x2, y2) in zip(path, path[1:]):
-            if y1 == y2:
-                i = min(x1, x2)
-                if self.grid.use_h[i, y1] > self.grid.cap_h[i, y1]:
-                    return True
-            else:
-                j = min(y1, y2)
-                if self.grid.use_v[x1, j] > self.grid.cap_v[x1, j]:
-                    return True
-        return False
+        fields = self._fields
+        use, cap = fields.use, fields.cap
+        return any(use[e] > cap[e] for e in fields.edge_ids(path))
 
     # ------------------------------------------------------------------
     # Measurement

@@ -323,8 +323,15 @@ def render_report(
             )
             if init_wns is not None and end.get("best_wns") is not None:
                 lines.append(
-                    f"    WNS {_fmt(float(init_wns))} -> {_fmt(float(end['best_wns']))}"
-                    f"   TNS {_fmt(float(init_tns))} -> {_fmt(float(end['best_tns']))}"
+                    f"    predicted (evaluator)  WNS {_fmt(float(init_wns))} -> "
+                    f"{_fmt(float(end['best_wns']))}   TNS {_fmt(float(init_tns))} -> "
+                    f"{_fmt(float(end['best_tns']))}"
+                )
+            if end.get("signoff_wns") is not None:
+                lines.append(
+                    f"    sign-off (route+STA)   WNS {_fmt(end.get('signoff_init_wns'))} -> "
+                    f"{_fmt(end['signoff_wns'])}   TNS {_fmt(end.get('signoff_init_tns'))} -> "
+                    f"{_fmt(end['signoff_tns'])}"
                 )
             flags = [
                 f for f in ("timed_out", "degraded", "resumed") if end.get(f)

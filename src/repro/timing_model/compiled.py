@@ -249,9 +249,15 @@ def get_compiled_objective(
 def get_compiled_loss(
     model: TimingEvaluator, sample, loss_fn, telemetry=None
 ) -> Optional[CompiledLoss]:
-    """Cached per-sample :class:`CompiledLoss`, or ``None`` if unsupported."""
+    """Cached per-sample :class:`CompiledLoss`, or ``None`` if unsupported.
+
+    One entry per graph, for the live model: a tape holds its model and
+    every intermediate buffer, so keying by model identity would pin the
+    tapes of every model ever trained on the sample.  A different model
+    recompiles and replaces the entry.
+    """
     graph = sample.graph
-    key = ("tape-loss", id(model))
+    key = ("tape-loss",)
     cached, tel = _cache_lookup(graph, key, model, telemetry)
     if isinstance(cached, _Unsupported):
         return None

@@ -102,6 +102,68 @@ def test_baseline_report_is_committed():
     assert kernels["eco_loop"]["des3"]["speedup"] >= 3.0
     for design, row in kernels["eco_loop"].items():
         assert row["verdicts_bitwise_equal"] == 1.0, design
+    # Flat-cost-field router PR: the production route of every bench
+    # design carries a committed digest (computed with the router it
+    # replaced), and des3 exercises the maze.
+    assert set(kernels["groute_full"]) == set(report["designs"])
+    for design, row in kernels["groute_full"].items():
+        assert row["digest_checked"] == 1.0, design
+        assert len(row["route_digest"]) == 16, design
+        assert row["route_ms"] > 0.0, design
+    assert kernels["groute_full"]["des3"]["maze_routed"] > 0
+
+
+class TestGrouteFull:
+    @pytest.fixture(scope="class")
+    def usb(self):
+        from repro.flow.pipeline import prepare_design
+
+        return prepare_design("usb_cdc_core")
+
+    def test_digest_matches_committed(self, usb):
+        from repro.bench import bench_groute_full
+
+        row = bench_groute_full(*usb, repeats=1)
+        committed = load_report(BASELINE)["kernels"]["groute_full"]["usb_cdc_core"]
+        assert row["digest_checked"] == 1.0
+        assert row["route_digest"] == committed["route_digest"]
+        assert row["maze_routed"] == committed["maze_routed"]
+
+    def test_digest_mismatch_raises(self, usb, monkeypatch):
+        import repro.bench as bench
+
+        monkeypatch.setattr(bench, "_committed_route_digest", lambda design: "0" * 16)
+        with pytest.raises(RuntimeError, match="global route of usb_cdc_core changed"):
+            bench.bench_groute_full(*usb, repeats=1)
+
+    def test_digest_sees_one_moved_route(self, usb):
+        from repro.bench import route_digest
+        from repro.groute.router import GlobalRouter
+        from repro.routegrid.grid import GCellGrid
+
+        netlist, forest = usb
+        grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+        result = GlobalRouter(grid).route(forest)
+        before = route_digest(result, grid)
+        seg = next(s for s in result.segments.values() if len(s.path) > 1)
+        seg.path = list(reversed(seg.path))
+        assert route_digest(result, grid) != before
+
+
+def test_history_tracks_absolute_route_time(tmp_path):
+    from repro.bench.history import append_history, load_history, render_trends, summarize_trends
+
+    path = tmp_path / "hist.jsonl"
+    for t, ms in enumerate([100.0, 104.0, 98.0, 160.0]):
+        report = {"kernels": {"groute_full": {"des3": {"route_ms": ms}}}}
+        append_history(report, path, timestamp=float(t))
+    rows = load_history(path)
+    assert rows[-1]["timings"] == {"groute_full/des3/route_ms": 160.0}
+    assert rows[-1]["speedups"] == {}
+    trend = summarize_trends(rows, section="timings")["groute_full/des3/route_ms"]
+    assert trend["regressed"] and trend["latest"] == 160.0
+    assert "SLOWER" in render_trends(rows)
+    assert "SLOWER" not in render_trends(rows[:3])
 
 
 def test_unknown_kernel_filter_rejected():

@@ -41,6 +41,10 @@ def _assert_refinement_identical(resumed, full):
     assert resumed.validations == full.validations
     assert resumed.validated_reverts == full.validated_reverts
     assert resumed.theta == full.theta
+    assert resumed.signoff_init_wns == full.signoff_init_wns
+    assert resumed.signoff_init_tns == full.signoff_init_tns
+    assert resumed.signoff_wns == full.signoff_wns
+    assert resumed.signoff_tns == full.signoff_tns
 
 
 class TestRefineResume:

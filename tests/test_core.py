@@ -206,6 +206,51 @@ class TestTSteinerFacade:
         work.validate()
         assert result.iterations >= 1
 
+    def test_hybrid_reports_predicted_and_signoff_apart(self, spm_setup):
+        """The result, the refine_end event, the tsteiner span and the
+        report carry evaluator-predicted and sign-off values, labelled."""
+        from repro.obs import Telemetry
+        from repro.obs.report import render_report
+
+        netlist, forest, _, model = spm_setup
+        work = forest.copy()
+        tel = Telemetry(run_id="hybrid")
+        optimizer = TSteiner(
+            model,
+            RefinementConfig(max_iterations=4, validate_every=2, polish_probes=6),
+        )
+        result = optimizer.optimize(netlist, work, telemetry=tel)
+        tel.close()
+
+        def signoff(coords):
+            return TSteiner._make_validator(netlist, forest.copy())(coords)
+
+        initial = forest.get_steiner_coords()
+        assert (result.signoff_init_wns, result.signoff_init_tns) == signoff(initial)
+        assert (result.signoff_wns, result.signoff_tns) == signoff(result.coords)
+        # The untrained evaluator's prediction is not the sign-off value.
+        assert result.best_wns != result.signoff_wns
+
+        end = next(e for e in tel.events if e["kind"] == "refine_end")
+        for name in ("signoff_init_wns", "signoff_init_tns", "signoff_wns", "signoff_tns"):
+            assert end[name] == getattr(result, name), name
+        assert (end["best_wns"], end["best_tns"]) == (result.best_wns, result.best_tns)
+        span = next(
+            e for e in tel.events
+            if e["kind"] == "span_end" and e["name"] == "tsteiner.refine"
+        )
+        assert span["attrs"]["predicted_wns"] == result.best_wns
+        assert span["attrs"]["signoff_wns"] == result.signoff_wns
+        text = render_report(tel.events)
+        assert "predicted (evaluator)" in text
+        assert "sign-off (route+STA)" in text
+
+    def test_evaluator_mode_leaves_signoff_unset(self, spm_setup):
+        _, forest, graph, model = spm_setup
+        cfg = RefinementConfig(max_iterations=2, acceptance="evaluator", polish_probes=0)
+        result = refine(model, graph, forest.get_steiner_coords(), cfg)
+        assert result.signoff_wns is None and result.signoff_init_wns is None
+
     def test_evaluator_mode_rounds_coords(self, spm_setup):
         netlist, forest, _, model = spm_setup
         work = forest.copy()

@@ -347,3 +347,37 @@ class TestFaultedReplay:
         finally:
             model.kernel = saved
         _assert_trajectories_equal(ref, tape_result)
+
+
+def test_compiled_loss_cache_keeps_only_the_live_model():
+    """Training a second model replaces the first model's loss tapes
+    (one ``tape-loss`` entry per graph) and trains it exactly as if it
+    had been trained alone."""
+    from repro.flow.pipeline import prepare_design
+    from repro.timing_model.dataset import make_sample
+    from repro.timing_model.train import TrainerConfig, train_evaluator
+
+    def samples():
+        out = []
+        for name in ("spm", "cic_decimator"):
+            netlist, forest = prepare_design(name)
+            out.append(make_sample(netlist, forest, None, is_train=True))
+        return out
+
+    cfg = TrainerConfig(epochs=3, patience=100)
+    shared = samples()
+    first = TimingEvaluator(EvaluatorConfig(hidden=8, seed=1))
+    train_evaluator(first, shared, cfg)
+    second = TimingEvaluator(EvaluatorConfig(hidden=8, seed=2))
+    train_evaluator(second, shared, cfg)
+    for sample in shared:
+        keys = [k for k in sample.graph._static if k[0] == "tape-loss"]
+        assert len(keys) == 1, keys
+        assert sample.graph._static[keys[0]].model is second
+
+    alone = TimingEvaluator(EvaluatorConfig(hidden=8, seed=2))
+    train_evaluator(alone, samples(), cfg)
+    got, want = second.state_dict(), alone.state_dict()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
