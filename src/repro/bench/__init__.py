@@ -1070,4 +1070,4 @@ def load_report(path) -> Dict:
 
 
 def save_report(report: Dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +45,10 @@ from repro.runtime import (
 )
 from repro.timing_model.graph import TimingGraph
 from repro.timing_model.model import TimingEvaluator
+
+if TYPE_CHECKING:
+    from repro.groute.router import GlobalRouteResult
+    from repro.routegrid.grid import GCellGrid
 
 
 @dataclass
@@ -143,6 +147,23 @@ class RefinementConfig:
 
 
 @dataclass
+class SignoffRecord:
+    """What one hybrid validator probe signed off.
+
+    ``coords`` are the Steiner coordinates the probe routed (after its
+    clamp), ``grid`` carries that route's usage and history,
+    ``route_result`` is layer-assigned, and ``report`` is the probe's
+    timing: a :class:`~repro.sta.engine.TimingReport`, or a
+    ``repro.mcmm.ScenarioReport`` under a non-neutral scenario set.
+    """
+
+    coords: np.ndarray
+    grid: "GCellGrid"
+    route_result: "GlobalRouteResult"
+    report: Any
+
+
+@dataclass
 class RefinementResult:
     """Outcome of one refinement run.
 
@@ -153,6 +174,11 @@ class RefinementResult:
     ``coords``.  Each stays ``None`` when no probe describes it: outside
     hybrid mode, and for the final values once the validator degraded
     (the run then returns evaluator-accepted coordinates).
+
+    ``signoff_record`` is the validator's record of the final anchor
+    (see :class:`SignoffRecord`).  Like ``signoff_wns`` it is ``None``
+    once the validator degraded; it is never checkpointed, so a resumed
+    run has one only after a validated accept of its own.
     """
 
     coords: np.ndarray  # best flat Steiner coordinates
@@ -174,6 +200,7 @@ class RefinementResult:
     signoff_init_tns: Optional[float] = None
     signoff_wns: Optional[float] = None
     signoff_tns: Optional[float] = None
+    signoff_record: Optional[SignoffRecord] = None
 
     @property
     def wns_improvement(self) -> float:
@@ -442,9 +469,14 @@ def refine(
         wns, tns = oracle.evaluate(coords)
         return RefinementResult(coords, wns, tns, wns, tns, 0, 0.0, 0)
 
+    # The validator's record of its latest probe, and of the anchor.
+    probe_record: Optional[SignoffRecord] = None
+    anchor_record: Optional[SignoffRecord] = None
+
     def call_validator(c: np.ndarray) -> Optional[Tuple[float, float]]:
         """Probe the real flow with retry; ``None`` == degrade, don't crash."""
-        nonlocal degraded, use_validator
+        nonlocal degraded, use_validator, probe_record
+        probe_record = None
         tel.count("refine.validator_probes")
         if budget is not None:
             budget.spend_probe()
@@ -456,12 +488,14 @@ def refine(
             return float(rw), float(rt)
 
         try:
-            return retry_call(
+            verdict = retry_call(
                 probe,
                 c,
                 attempts=cfg.validator_retries + 1,
                 backoff=cfg.validator_backoff,
             )
+            probe_record = getattr(validator, "record", None)
+            return verdict
         except BudgetExceeded:
             raise
         except Exception as exc:
@@ -469,6 +503,11 @@ def refine(
             use_validator = False
             tel.event("validator_degraded", error=f"{type(exc).__name__}: {exc}")
             return None
+
+    def promote_probe() -> None:
+        """The latest probe's coordinates became the anchor."""
+        nonlocal anchor_record
+        anchor_record = probe_record
 
     pcfg = cfg.penalty
 
@@ -591,6 +630,7 @@ def refine(
         if anchor is not None:
             real_wns, real_tns = anchor
             signoff_init = anchor
+            promote_probe()
 
     if tel.enabled:
         tel.event(
@@ -689,6 +729,7 @@ def refine(
                 real_wns = max(real_wns, rw)
                 real_tns = max(real_tns, rt)
             real_coords = rounded.copy()
+            promote_probe()
         else:
             validated_reverts += 1
             coords = real_coords.copy()
@@ -823,6 +864,7 @@ def refine(
                 cfg,
                 graph.netlist.technology.gcell_size,
                 budget=budget,
+                on_accept=promote_probe,
             )
             validations += probes
             timed_out = timed_out or polish_timed_out
@@ -878,6 +920,7 @@ def refine(
         degraded=degraded,
         skipped_steps=skipped_steps,
         resumed=ckpt is not None,
+        signoff_record=anchor_record if live else None,
         **signoff,
     )
 
@@ -900,6 +943,7 @@ def _polish(
     cfg: RefinementConfig,
     gcell: float,
     budget: Optional[Budget] = None,
+    on_accept: Callable[[], None] = lambda: None,
 ) -> Tuple[np.ndarray, float, float, int, bool]:
     """Per-point oracle-validated descent on the most critical points.
 
@@ -913,7 +957,8 @@ def _polish(
     ``call_validator`` is the retry/degrade wrapper from :func:`refine`:
     a ``None`` probe means the oracle went down and polishing stops at
     the current best.  An expired ``budget`` likewise stops the stage
-    (reported through the returned ``timed_out`` flag).
+    (reported through the returned ``timed_out`` flag).  ``on_accept``
+    runs after every probe whose move is kept.
     """
     from repro.steiner.forest import SteinerForest
 
@@ -957,6 +1002,7 @@ def _polish(
         if score(rw, rt) > score(best_wns, best_tns):
             best = candidate
             best_wns, best_tns = rw, rt
+            on_accept()
             grad, _, _, _ = oracle.gradient(best, pcfg)
             order = np.argsort(-np.abs(grad).sum(axis=1))[: cfg.polish_top_k]
             cursor = 0

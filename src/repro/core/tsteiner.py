@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.refine import RefinementConfig, RefinementResult, refine
+from repro.core.refine import RefinementConfig, RefinementResult, SignoffRecord, refine
 from repro.netlist.netlist import Netlist
 from repro.obs import get_telemetry
 from repro.steiner.forest import SteinerForest
@@ -130,8 +130,17 @@ class TSteiner:
         accepted trajectory to real timing.  The probe runs the
         production negotiated router (pattern, maze and rip-up rounds)
         at the default :class:`~repro.groute.router.RouterConfig`, then
-        the production layer assignment and coupling-aware STA, so a
-        probe's verdict is the production routing pass's verdict.
+        the production layer assignment and coupling-aware STA.  A
+        probe's verdict is therefore bitwise the verdict of a flow that
+        routes the same coordinates with the default router config.
+
+        After each successful probe the callable's ``record`` attribute
+        holds a :class:`~repro.core.refine.SignoffRecord` of it: the
+        clamped coordinates it routed, the grid, the layer-assigned
+        route and the timing report.  :func:`repro.core.refine.refine`
+        keeps the record of the current anchor and returns it;
+        :func:`repro.flow.pipeline.run_routing_flow` signs off from it
+        instead of routing the same coordinates again.
 
         One probe forest and one incremental STA query object are
         hoisted out of the closure: successive probes in a refinement
@@ -163,7 +172,9 @@ class TSteiner:
             inc = IncrementalSTA(netlist, probe, engine=engine)
 
         def validator(coords):
-            probe.set_steiner_coords(probe.clamp_coords(coords))
+            validator.record = None
+            clamped = probe.clamp_coords(coords)
+            probe.set_steiner_coords(clamped)
             grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
             # Default router config so probe timing matches the final
             # production routing pass bit-for-bit.
@@ -171,10 +182,12 @@ class TSteiner:
             rr = router.route(probe)
             assign_layers(rr, netlist.technology, grid.nx * grid.ny)
             report = inc.run(route_result=rr, utilization=grid.utilization_map())
+            validator.record = SignoffRecord(clamped, grid, rr, report)
             if mcmm:
                 return report.merged_wns, report.merged_tns
             return report.wns, report.tns
 
+        validator.record = None
         validator.reset = inc.invalidate
         return validator
 

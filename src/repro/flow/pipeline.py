@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.refine import RefinementConfig, RefinementResult
+from repro.core.refine import RefinementConfig, RefinementResult, SignoffRecord
 from repro.runtime import Budget, StageError
 from repro.core.tsteiner import TSteiner
 from repro.droute.detailed import DetailedRouter, DetailedRouterConfig
@@ -152,6 +152,17 @@ def run_routing_flow(
     or a one-element neutral set keeps today's single-scenario flow
     bitwise-unchanged.
 
+    Final sign-off reuse (docs/PERFORMANCE.md): a hybrid refinement
+    returns the validator's record of its final anchor
+    (``RefinementResult.signoff_record``).  The flow takes its grid and
+    layer-assigned route instead of routing again when the refined
+    coordinates are bitwise the record's, ``router_config`` is the
+    default and the budget has not expired; it also takes the record's
+    timing report when ``engine`` is None and the scenario set is
+    single-neutral (otherwise STA runs on the reused route).  Any other
+    case routes as before.  The ``flow.groute``/``flow.sta`` spans carry
+    ``signoff_reused``.
+
     ``eco`` (a ``repro.eco.EcoConfig``) appends a guarded closed-loop
     ECO stage after sign-off: the driver runs on a *clone* of the
     netlist + refined forest under the same scenario set and its result
@@ -205,16 +216,21 @@ def run_routing_flow(
         runtimes["tsteiner"] = time.perf_counter() - t0
 
     route_result: Optional[GlobalRouteResult] = None
-    grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
     t0 = time.perf_counter()
-    with tel.span("flow.groute", design=netlist.name):
-        try:
-            router = GlobalRouter(grid, router_config)
-            route_result = router.route(work, budget=budget)
-            assign_layers(route_result, netlist.technology, grid.nx * grid.ny)
-            timed_out = timed_out or route_result.timed_out
-        except Exception as exc:
-            guard("groute", exc)
+    record = _reusable_signoff(refinement, work, router_config, budget)
+    reuse_report = record is not None and engine is None and not mcmm
+    with tel.span("flow.groute", design=netlist.name, signoff_reused=record is not None):
+        if record is not None:
+            grid, route_result = record.grid, record.route_result
+        else:
+            grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+            try:
+                router = GlobalRouter(grid, router_config)
+                route_result = router.route(work, budget=budget)
+                assign_layers(route_result, netlist.technology, grid.nx * grid.ny)
+                timed_out = timed_out or route_result.timed_out
+            except Exception as exc:
+                guard("groute", exc)
     runtimes["groute"] = time.perf_counter() - t0
 
     detail = None
@@ -236,10 +252,13 @@ def run_routing_flow(
     hold_report = None
     if route_result is not None:
         t0 = time.perf_counter()
-        with tel.span("flow.sta", design=netlist.name):
+        with tel.span("flow.sta", design=netlist.name, signoff_reused=reuse_report):
             try:
-                engine = engine or STAEngine(netlist)
-                report = engine.run(work, route_result, utilization=grid.utilization_map())
+                if reuse_report:
+                    report = record.report
+                else:
+                    engine = engine or STAEngine(netlist)
+                    report = engine.run(work, route_result, utilization=grid.utilization_map())
                 if mcmm:
                     from repro.mcmm.sta import ScenarioSTA
 
@@ -268,6 +287,7 @@ def run_routing_flow(
                     # Hold sign-off rides along when a trace is being
                     # recorded so `python -m repro report` can surface
                     # it (docs/OBSERVABILITY.md).
+                    engine = engine or STAEngine(netlist)
                     hold_report = run_hold_analysis(
                         engine, work, route_result,
                         utilization=grid.utilization_map(),
@@ -347,6 +367,27 @@ def run_routing_flow(
         stage_errors=stage_errors,
         timed_out=timed_out,
     )
+
+
+def _reusable_signoff(
+    refinement: Optional[RefinementResult],
+    work: SteinerForest,
+    router_config: Optional[RouterConfig],
+    budget: Optional[Budget],
+) -> Optional[SignoffRecord]:
+    """The refinement's sign-off record when it is exactly what routing
+    ``work`` would produce now, else None."""
+    record = refinement.signoff_record if refinement is not None else None
+    if record is None:
+        return None
+    if router_config is not None and router_config != RouterConfig():
+        return None
+    if budget is not None and budget.expired():
+        return None
+    coords = work.get_steiner_coords()
+    if coords.shape != record.coords.shape or coords.tobytes() != record.coords.tobytes():
+        return None
+    return record
 
 
 def make_training_samples(

@@ -17,10 +17,12 @@ the oracle would defeat the gradient signal).
 
 Pattern costing and the maze read one flat per-edge cost field
 (:class:`_CostFields`) at the configured overflow penalty.  ``route()``
-builds it from the grid, rebuilds it after every history bump and
+builds it from the grid, reloads it after every history bump and
 refreshes only the touched edges on each commit and rip-up, so every
-read is bitwise what ``GCellGrid.edge_cost`` returns for the live usage
-(docs/PERFORMANCE.md, "Global router").
+read is bitwise what ``GCellGrid.edge_cost`` returns for the live usage.
+Inside ``route()`` the usage lives only in the field; it is written
+back to the grid in bulk before every grid read (overflow, history
+bump) and on exit (docs/PERFORMANCE.md, "Global router").
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ class _CostFields:
 
     ``cost[e]`` is bitwise ``grid.edge_cost(..., penalty)``: every
     entry comes from :func:`_edge_cost`, and :meth:`add` recomputes only
-    the touched edge.  ``add`` also writes the usage through to the
-    grid, which stays authoritative.
+    the touched edges.  ``add`` changes only ``use``; the grid sees the
+    usage after :meth:`write_back`.
     """
 
     def __init__(self, grid: GCellGrid, penalty: float) -> None:
@@ -141,11 +143,16 @@ class _CostFields:
         self.n_h = grid.cap_h.size
         self.use = grid.use_h.ravel().tolist() + grid.use_v.ravel().tolist()
         self.cap = grid.cap_h.ravel().tolist() + grid.cap_v.ravel().tolist()
+        self.adj = _adjacency(grid.nx, grid.ny, self.n_h, self.sv)
+        self.reload_history()
+
+    def reload_history(self) -> None:
+        """Read the grid's history and recompute every cost."""
+        grid, penalty = self.grid, self.penalty
         self.hist = grid.hist_h.ravel().tolist() + grid.hist_v.ravel().tolist()
         self.cost = [
             _edge_cost(c, u, h, penalty) for c, u, h in zip(self.cap, self.use, self.hist)
         ]
-        self.adj = _adjacency(grid.nx, grid.ny, self.n_h, self.sv)
 
     def edge_ids(self, path: Sequence[GridPoint]) -> List[int]:
         """Ids of the GCell edges a grid path crosses, in path order."""
@@ -157,15 +164,19 @@ class _CostFields:
             for (x1, y1), (x2, y2) in zip(path, path[1:])
         ]
 
-    def add(self, e: int, amount: float) -> None:
-        """Add ``amount`` of usage on edge ``e`` and refresh its cost."""
-        use = self.use[e] + amount
-        self.use[e] = use
-        if e < self.n_h:
-            self.grid.use_h[divmod(e, self.ny)] = use
-        else:
-            self.grid.use_v[divmod(e - self.n_h, self.sv)] = use
-        self.cost[e] = _edge_cost(self.cap[e], use, self.hist[e], self.penalty)
+    def add(self, ids: Sequence[int], amount: float) -> None:
+        """Add ``amount`` of usage on edges ``ids`` and refresh their cost."""
+        use, cost, cap, hist, penalty = self.use, self.cost, self.cap, self.hist, self.penalty
+        for e in ids:
+            u = use[e] + amount
+            use[e] = u
+            cost[e] = _edge_cost(cap[e], u, hist[e], penalty)
+
+    def write_back(self) -> None:
+        """Copy the usage into the grid's ``use_h``/``use_v``."""
+        grid, n_h = self.grid, self.n_h
+        grid.use_h[...] = np.reshape(self.use[:n_h], grid.use_h.shape)
+        grid.use_v[...] = np.reshape(self.use[n_h:], grid.use_v.shape)
 
 
 class GlobalRouter:
@@ -198,6 +209,7 @@ class GlobalRouter:
         try:
             return self._route(forest, budget)
         finally:
+            self._fields.write_back()
             self._fields = None
 
     def _route(self, forest: SteinerForest, budget) -> GlobalRouteResult:
@@ -207,6 +219,7 @@ class GlobalRouter:
         geom = _geometry_of(forest)
         xy = geom.gather_coords(forest)
         grid = self.grid
+        fields = self._fields
         gx = np.clip(xy[:, 0] / grid.gcell, 0, grid.nx - 1).astype(np.int64).tolist()
         gy = np.clip(xy[:, 1] / grid.gcell, 0, grid.ny - 1).astype(np.int64).tolist()
         xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
@@ -224,10 +237,11 @@ class GlobalRouter:
         # ones fit in the gaps (standard global-routing ordering).
         jobs.sort(key=lambda j: -(abs(j[2][0] - j[3][0]) + abs(j[2][1] - j[3][1])))
 
-        segments: Dict[SegmentKey, SegmentRoute] = {}
-        deltas: Dict[SegmentKey, Tuple[float, float]] = {}
+        # Per job: its committed path and that path's edge ids.
+        paths: List[List[GridPoint]] = []
+        path_ids: List[List[int]] = []
         maze_count = 0
-        for job_idx, (key, net_index, p1, p2, dx, dy) in enumerate(jobs):
+        for job_idx, (_, _, p1, p2, _, _) in enumerate(jobs):
             if not timed_out and budget is not None and job_idx % 64 == 0 and budget.expired():
                 timed_out = True
             if timed_out:
@@ -238,36 +252,40 @@ class GlobalRouter:
                 path, used_maze = self._route_segment(p1, p2)
             if used_maze:
                 maze_count += 1
-            self._commit(path)
-            deltas[key] = (dx, dy)
-            segments[key] = self._measure(key, net_index, p1, p2, dx, dy, path)
+            paths.append(path)
+            path_ids.append(self._commit(path))
 
         # Negotiation rounds: rip up segments crossing overflowed edges.
         for _ in range(self.config.ripup_rounds):
-            if self.grid.overflow() <= 0:
+            fields.write_back()
+            if grid.overflow() <= 0:
                 break
             if budget is not None and budget.expired():
                 timed_out = True
                 break
-            self.grid.bump_history(self.config.history_increment)
-            self._fields = _CostFields(self.grid, self.config.overflow_penalty)
-            victims = [k for k, s in segments.items() if self._crosses_overflow(s.path)]
-            for key in victims:
-                seg = segments[key]
-                self._uncommit(seg.path)
-                path, _ = self._route_segment(seg.path[0], seg.path[-1], force_maze=True)
+            grid.bump_history(self.config.history_increment)
+            fields.reload_history()
+            use, cap = fields.use, fields.cap
+            over = {e for e in range(len(use)) if use[e] > cap[e]}
+            victims = [i for i, ids in enumerate(path_ids) if not over.isdisjoint(ids)]
+            for i in victims:
+                fields.add(path_ids[i], -1.0)
+                p1, p2 = jobs[i][2], jobs[i][3]
+                path, _ = self._route_segment(p1, p2, force_maze=True)
                 maze_count += 1
-                self._commit(path)
-                dx, dy = deltas[key]
-                segments[key] = self._measure(
-                    key, seg.net_index, path[0], path[-1], dx, dy, path
-                )
+                paths[i] = path
+                path_ids[i] = self._commit(path)
 
+        fields.write_back()
+        segments: Dict[SegmentKey, SegmentRoute] = {
+            key: self._measure(key, net_index, p1, p2, dx, dy, path)
+            for (key, net_index, p1, p2, dx, dy), path in zip(jobs, paths)
+        }
         total_wl = sum(s.length for s in segments.values())
         return GlobalRouteResult(
             segments=segments,
-            overflow=self.grid.overflow(),
-            max_utilization=self.grid.max_utilization(),
+            overflow=grid.overflow(),
+            max_utilization=grid.max_utilization(),
             total_wirelength=total_wl,
             maze_routed=maze_count,
             timed_out=timed_out,
@@ -392,18 +410,15 @@ class GlobalRouter:
     # ------------------------------------------------------------------
     # Usage bookkeeping
     # ------------------------------------------------------------------
-    def _commit(self, path: List[GridPoint], amount: float = 1.0) -> None:
+    def _commit(self, path: List[GridPoint], amount: float = 1.0) -> List[int]:
+        """Add ``amount`` of usage along ``path``; returns its edge ids."""
         fields = self._fields
-        for e in fields.edge_ids(path):
-            fields.add(e, amount)
+        ids = fields.edge_ids(path)
+        fields.add(ids, amount)
+        return ids
 
     def _uncommit(self, path: List[GridPoint]) -> None:
         self._commit(path, amount=-1.0)
-
-    def _crosses_overflow(self, path: List[GridPoint]) -> bool:
-        fields = self._fields
-        use, cap = fields.use, fields.cap
-        return any(use[e] > cap[e] for e in fields.edge_ids(path))
 
     # ------------------------------------------------------------------
     # Measurement

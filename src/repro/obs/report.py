@@ -11,6 +11,9 @@ Sections rendered (each only when the trace contains the data):
 * per-stage time breakdown — span durations aggregated by name;
 * refinement trajectory — one line per ``refine`` invocation
   reconstructed from ``refine_start``/``refine_iter``/``refine_end``;
+* final sign-off source — per flow, whether the route and the STA
+  report came from the validator's anchor probe or were run by the
+  flow (``signoff_reused`` on the ``flow.groute``/``flow.sta`` spans);
 * MCMM sign-off — per-scenario and merged WNS/TNS from the flow's
   ``mcmm_report`` events (docs/MCMM.md);
 * hold sign-off — WHS and hold violations from ``hold_report`` events;
@@ -136,6 +139,29 @@ def summarize_refinements(events: Sequence[Dict[str, Any]]) -> List[Dict[str, An
             current["end"] = ev
             current = None
     return runs
+
+
+def summarize_signoff_sources(events: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """One ``{design, route, sta}`` dict per flow: whether its final
+    route and STA report were reused from the validator's anchor probe
+    (``signoff_reused`` on ``flow.groute``/``flow.sta``; ``sta`` stays
+    None when the flow ran no STA)."""
+    flows: List[Dict[str, Any]] = []
+    for ev in events:
+        if ev.get("kind") != "span_start":
+            continue
+        attrs = ev.get("attrs") or {}
+        if "signoff_reused" not in attrs:
+            continue
+        design = attrs.get("design", "?")
+        if ev.get("name") == "flow.groute":
+            flows.append({"design": design, "route": bool(attrs["signoff_reused"]), "sta": None})
+        elif ev.get("name") == "flow.sta":
+            for flow in reversed(flows):
+                if flow["design"] == design and flow["sta"] is None:
+                    flow["sta"] = bool(attrs["signoff_reused"])
+                    break
+    return flows
 
 
 def summarize_serving(events: Sequence[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
@@ -338,6 +364,15 @@ def render_report(
             ]
             if flags:
                 lines.append(f"    flags: {', '.join(flags)}")
+
+    sources = summarize_signoff_sources(events)
+    if sources:
+        lines.append("")
+        lines.append("Final sign-off source (per flow)")
+        for flow in sources:
+            route = "validator anchor probe" if flow["route"] else "flow route"
+            sta = {True: "validator anchor probe", False: "flow STA", None: "not run"}[flow["sta"]]
+            lines.append(f"  {flow['design']}: route from {route}, STA from {sta}")
 
     mcmm_events = [e for e in events if e.get("kind") == "mcmm_report"]
     if mcmm_events:

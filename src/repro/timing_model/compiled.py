@@ -218,13 +218,17 @@ def get_compiled_objective(
 ) -> Optional[CompiledObjective]:
     """Cached :class:`CompiledObjective`, or ``None`` if unsupported.
 
-    Keyed by ``(model identity, gamma)`` on the graph's topology cache;
-    entries are dropped when the model or congestion field they were
-    compiled against is no longer the live one (``TSteiner.optimize``
-    rebinds ``graph.congestion`` after the probe stage) and by
-    ``graph._static.clear()`` on checkpoint restore.
+    Keyed by ``gamma`` on the graph's topology cache, for the live
+    model only, like the loss tapes of :func:`get_compiled_loss`: a
+    tape holds its model and every intermediate buffer, so keying by
+    model identity would pin the tapes of every model ever refined on
+    the graph.  An entry is recompiled and replaced when the model or
+    congestion field it was compiled against is no longer the live one
+    (``TSteiner.optimize`` rebinds ``graph.congestion`` after the probe
+    stage), and dropped by ``graph._static.clear()`` on checkpoint
+    restore.
     """
-    key = ("tape", id(model), float(gamma))
+    key = ("tape", float(gamma))
     cached, tel = _cache_lookup(graph, key, model, telemetry)
     if isinstance(cached, _Unsupported):
         return None

@@ -56,6 +56,16 @@ class TestCompareReports:
         assert compare_reports(self._report(25.0), base) == []
 
 
+def test_save_report_reproduces_committed_baseline(tmp_path):
+    """Regenerating the baseline rewrites only the values that changed:
+    saving the committed report again reproduces it byte for byte."""
+    from repro.bench import save_report
+
+    out = tmp_path / "BENCH_timing.json"
+    save_report(load_report(BASELINE), out)
+    assert out.read_bytes() == BASELINE.read_bytes()
+
+
 def test_baseline_report_is_committed():
     """The regression gate needs its baseline in the repo."""
     assert BASELINE.exists(), "BENCH_timing.json missing — run python -m repro.bench --out BENCH_timing.json"

@@ -188,6 +188,8 @@ def test_live_costs_equal_edge_cost_after_commits(seed, penalty, cap_scale):
         paths.append(path)
     for path in paths[::3]:
         router._uncommit(path)
+    # Inside route() the grid sees the usage after a bulk write-back.
+    router._fields.write_back()
     assert router._fields.cost == _edge_costs(grid, penalty)
 
 

@@ -373,6 +373,33 @@ class TestReport:
         assert repro_main(["report", str(path)]) == 0
         assert "Telemetry run report-run" in capsys.readouterr().out
 
+    def test_final_signoff_source_is_reported(self, spm_design):
+        """The flow spans say where the final route and STA came from,
+        and the report prints it per flow."""
+        from repro.flow.pipeline import run_routing_flow
+        from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
+
+        netlist, forest, _ = spm_design
+        tel = Telemetry(run_id="signoff-source")
+        model = TimingEvaluator(EvaluatorConfig(hidden=8, seed=2))
+        cfg = RefinementConfig(max_iterations=2, validate_every=1, polish_probes=4)
+        run_routing_flow(netlist, forest, telemetry=tel)
+        run_routing_flow(netlist, forest, model=model, refinement_config=cfg, telemetry=tel)
+        tel.close()
+        reused = [
+            e["attrs"]["signoff_reused"]
+            for e in tel.events
+            if e["kind"] == "span_start" and e["name"] in ("flow.groute", "flow.sta")
+        ]
+        assert reused == [False, False, True, True]
+        text = render_report(tel.events)
+        assert "Final sign-off source (per flow)" in text
+        assert "spm: route from flow route, STA from flow STA" in text
+        assert (
+            "spm: route from validator anchor probe, STA from validator anchor probe"
+            in text
+        )
+
     def test_malformed_trace_rejected(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json at all\n")

@@ -381,3 +381,39 @@ def test_compiled_loss_cache_keeps_only_the_live_model():
     assert got.keys() == want.keys()
     for name in want:
         assert np.array_equal(got[name], want[name]), name
+
+
+def test_compiled_objective_cache_keeps_only_the_live_model():
+    """Refining with three models in turn leaves one objective tape per
+    gamma, bound to the last model, and that model refines exactly as
+    if it had been refined alone."""
+    from dataclasses import fields
+
+    from repro.flow.pipeline import prepare_design
+
+    netlist, forest = prepare_design("spm")
+    coords = forest.get_steiner_coords()
+    cfg = RefinementConfig(max_iterations=4, acceptance="evaluator", polish_probes=0)
+    gamma = PenaltyConfig().gamma
+
+    def model(seed):
+        return TimingEvaluator(EvaluatorConfig(hidden=8, seed=seed))
+
+    shared = build_timing_graph(netlist, forest)
+    models = [model(seed) for seed in (1, 2, 3)]
+    for m in models:
+        last = refine(m, shared, coords, config=cfg, clamp_fn=forest.clamp_coords)
+    keys = [k for k in shared._static if k[0] == "tape"]
+    assert keys == [("tape", gamma)]
+    assert shared._static[keys[0]].model is models[-1]
+
+    alone = refine(
+        model(3), build_timing_graph(netlist, forest), coords,
+        config=cfg, clamp_fn=forest.clamp_coords,
+    )
+    for f in fields(alone):
+        got, want = getattr(last, f.name), getattr(alone, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert got == want, f.name
